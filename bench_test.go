@@ -803,41 +803,27 @@ func BenchmarkRunScale(b *testing.B) {
 	}
 }
 
-// BenchmarkLintModule measures the static-analysis suite's interprocedural
-// pass over this repository end to end: module load and typecheck, call
-// graph construction, the fact fixpoint, the three module analyzers, and
-// the per-package analyzers through the waiver filter. It is the
-// bench-smoke sentinel for the lint layer — the fixpoint and the interface
-// dispatch resolution are the superlinear risks as the tree grows, and one
-// archived iteration per CI run keeps their wall clock on the public
-// record. The escape-analysis gates (hotalloc, allocbudget) are excluded:
-// they shell out to `go build` and would measure the build cache, not the
-// analysis.
+// BenchmarkLintModule measures the static-analysis suite over this
+// repository end to end through lint.Check, the same entry point as
+// `ringcast-lint ./...`: module load and typecheck, call graph construction,
+// the fact fixpoint, the analyzers through the waiver filter, and the
+// allocbudget escape gate (whose `go build -gcflags=-m` over the hot-path
+// packages replays from the build cache). It is the bench-smoke sentinel for
+// the lint layer — the fixpoint and the interface dispatch resolution are
+// the superlinear risks as the tree grows, and one archived iteration per CI
+// run keeps their wall clock on the public record.
 func BenchmarkLintModule(b *testing.B) {
 	root, err := filepath.Abs(".")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		pkgs, err := lint.Load(root, "./...")
-		if err != nil {
-			b.Fatal(err)
-		}
-		m := lint.NewModule(pkgs)
-		raw, ran, err := lint.RunModuleAnalyzers(m,
-			[]*lint.ModuleAnalyzer{lint.Lockorder, lint.Goroleak, lint.Detflow})
-		if err != nil {
-			b.Fatal(err)
-		}
-		diags, err := lint.RunAnalyzers(pkgs,
-			[]*lint.Analyzer{lint.Detrand, lint.Maporder, lint.Lockio}, raw, ran...)
+		diags, err := lint.Check(root, filepath.Join(root, "internal/lint/allocs.baseline"), "./...")
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(diags) != 0 {
 			b.Fatalf("lint findings during benchmark: %v", diags)
 		}
-		b.ReportMetric(float64(len(pkgs)), "pkgs")
-		b.ReportMetric(float64(len(m.Graph.Nodes)), "funcs")
 	}
 }

@@ -1,18 +1,18 @@
 // Command ringcast-lint is the multichecker for ringcast's determinism and
 // concurrency contracts: it loads the requested packages and runs the
-// internal/lint analyzer suite — detrand (no ambient randomness or wall
-// clock in ringcast:deterministic packages), maporder (map iteration order
-// must not reach output unsorted), lockio (no blocking call while a sync
-// mutex is held), hotalloc (ringcast:hotpath functions must stay free of
-// compiler-reported heap escapes), and the interprocedural four built on the
-// module call graph — lockorder (cross-package lock-order cycles and
-// transitive blocking under a mutex), goroleak (spawned goroutines need a
-// cancellation path), detflow (determinism taint through unmarked helper
-// packages), and allocbudget (per-hotpath escape counts ratcheted against
-// internal/lint/allocs.baseline). Findings print as file:line:col lines
-// (-json for structured output, -github for CI annotations) and a non-zero
-// exit fails CI; deliberate exceptions carry justified
-// `//lint:<analyzer> <why>` waivers in the source itself.
+// internal/lint suite through lint.Check — detrand (no ambient randomness or
+// wall clock in ringcast:deterministic packages), maporder (map iteration
+// order must not reach output unsorted), lockio (no blocking call while a
+// sync mutex is held), the interprocedural three built on the module call
+// graph — lockorder (cross-package lock-order cycles and transitive blocking
+// under a mutex), goroleak (spawned goroutines need a cancellation path),
+// detflow (determinism taint through unmarked helper packages) — and
+// allocbudget, the escape gate that holds every ringcast:hotpath function to
+// its compiler-reported heap-escape count in internal/lint/allocs.baseline.
+// Findings print as file:line:col lines (-json for structured output,
+// -github for CI annotations) and a non-zero exit fails CI; deliberate
+// exceptions carry justified `//lint:<analyzer> <why>` waivers in the source
+// itself.
 package main
 
 import (
@@ -26,20 +26,11 @@ import (
 	"ringcast/internal/lint"
 )
 
-// analyzers is the per-package AST half of the suite.
-var analyzers = []*lint.Analyzer{lint.Detrand, lint.Maporder, lint.Lockio}
-
-// moduleAnalyzers is the interprocedural half, run over the whole-module
-// call graph; hotalloc and allocbudget run as separate compiler-driven
-// passes.
-var moduleAnalyzers = []*lint.ModuleAnalyzer{lint.Lockorder, lint.Goroleak, lint.Detflow}
-
 // defaultBaseline is the checked-in allocation budget, relative to the
 // module root.
 const defaultBaseline = "internal/lint/allocs.baseline"
 
 func main() {
-	disable := flag.String("disable", "", "comma-separated analyzers to skip (detrand, maporder, lockio, hotalloc, lockorder, goroleak, detflow, allocbudget)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations so findings land on the PR diff")
 	baseline := flag.String("baseline", defaultBaseline, "allocation-budget baseline file, relative to the module root")
@@ -47,31 +38,19 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	disabled := map[string]bool{}
-	for _, name := range strings.Split(*disable, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			disabled[name] = true
-		}
-	}
-
 	dir, err := os.Getwd()
 	if err != nil {
 		fatal(err)
 	}
-	pkgs, err := lint.Load(dir, patterns...)
-	if err != nil {
-		fatal(err)
-	}
-
 	baselinePath := *baseline
 	if !filepath.IsAbs(baselinePath) {
 		baselinePath = filepath.Join(dir, baselinePath)
 	}
 	if *updateBaseline {
+		pkgs, err := lint.Load(dir, flag.Args()...)
+		if err != nil {
+			fatal(err)
+		}
 		if _, err := lint.AllocBudget(dir, pkgs, baselinePath, true); err != nil {
 			fatal(err)
 		}
@@ -79,48 +58,7 @@ func main() {
 		return
 	}
 
-	var enabled []*lint.Analyzer
-	for _, a := range analyzers {
-		if !disabled[a.Name] {
-			enabled = append(enabled, a)
-		}
-	}
-	var extra []lint.Diagnostic
-	var extraRan []string
-
-	var enabledModule []*lint.ModuleAnalyzer
-	for _, a := range moduleAnalyzers {
-		if !disabled[a.Name] {
-			enabledModule = append(enabledModule, a)
-		}
-	}
-	if len(enabledModule) > 0 {
-		m := lint.NewModule(pkgs)
-		moduleDiags, ran, err := lint.RunModuleAnalyzers(m, enabledModule)
-		if err != nil {
-			fatal(err)
-		}
-		extra = append(extra, moduleDiags...)
-		extraRan = append(extraRan, ran...)
-	}
-	if !disabled[lint.HotallocName] {
-		hot, err := lint.Hotalloc(dir, pkgs)
-		if err != nil {
-			fatal(err)
-		}
-		extra = append(extra, hot...)
-		extraRan = append(extraRan, lint.HotallocName)
-	}
-	if !disabled[lint.AllocBudgetName] {
-		budget, err := lint.AllocBudget(dir, pkgs, baselinePath, false)
-		if err != nil {
-			fatal(err)
-		}
-		extra = append(extra, budget...)
-		extraRan = append(extraRan, lint.AllocBudgetName)
-	}
-
-	diags, err := lint.RunAnalyzers(pkgs, enabled, extra, extraRan...)
+	diags, err := lint.Check(dir, baselinePath, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
@@ -185,7 +123,8 @@ func fatal(err error) {
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `ringcast-lint enforces ringcast's determinism and concurrency contracts.
+	out := flag.CommandLine.Output()
+	fmt.Fprint(out, `ringcast-lint enforces ringcast's determinism and concurrency contracts.
 
 Usage:
 
@@ -194,31 +133,20 @@ Usage:
 With no package patterns it checks ./... . Examples:
 
   ringcast-lint ./...
-  ringcast-lint -json -disable hotalloc ./internal/...
+  ringcast-lint -json ./internal/...
   ringcast-lint -update-baseline ./...
 
-Per-package analyzers:
+Checks:
 
 `)
-	for _, a := range analyzers {
-		fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", lint.HotallocName, lint.HotallocDoc)
-	fmt.Fprintf(flag.CommandLine.Output(), `
-Interprocedural analyzers (whole-module call graph with per-function facts):
-
-`)
-	for _, a := range moduleAnalyzers {
-		fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", lint.AllocBudgetName, lint.AllocBudgetDoc)
-	fmt.Fprintf(flag.CommandLine.Output(), `
+	lint.Help(out)
+	fmt.Fprint(out, `
 Markers and waivers (see ARCHITECTURE.md "Enforced contracts"):
 
   //ringcast:deterministic   package-scope marker: detrand and detflow apply
                              (one marked file covers the whole package)
-  //ringcast:hotpath         function marker: hotalloc forbids heap escapes,
-                             allocbudget ratchets their raw count
+  //ringcast:hotpath         function marker: allocbudget holds its heap
+                             escapes to the allocs.baseline count
   //lint:<analyzer> <why>    justified waiver on the finding's line or the
                              line above; an unjustified or unused waiver is
                              itself a finding

@@ -154,34 +154,44 @@ func bindStore(s *config.Store, rt *runtime, tr *transport.TCPTransport, out io.
 	return nil
 }
 
+// families declares every family the -metrics endpoint exports, once: name,
+// type and help text. Node counters carry a topic label (the plain overlay
+// publishes under topic "-"); the ringcast_transport_* family is the
+// base-socket aggregate; in pub/sub mode ringcast_topic_* adds the per-topic
+// mux attribution on top.
+var families = []struct{ name, typ, help string }{
+	{"ringcast_node_published_total", telemetry.Counter, "messages published locally"},
+	{"ringcast_node_delivered_total", telemetry.Counter, "messages delivered to the application"},
+	{"ringcast_node_duplicates_total", telemetry.Counter, "duplicate receives suppressed by dedup"},
+	{"ringcast_node_forwarded_total", telemetry.Counter, "dissemination forwards sent"},
+	{"ringcast_node_send_errors_total", telemetry.Counter, "sends that failed in the transport, each evicting the peer (queue-full rejections are ringcast_node_queue_full_total)"},
+	{"ringcast_node_queue_full_total", telemetry.Counter, "forwards rejected by a full local send queue; the peer is kept"},
+	{"ringcast_transport_frames_sent_total", telemetry.Counter, "frames handed to the wire, all overlays"},
+	{"ringcast_transport_bytes_sent_total", telemetry.Counter, "marshalled bytes sent, all overlays"},
+	{"ringcast_transport_drops_total", telemetry.Counter, "frames dropped by backpressure"},
+	{"ringcast_transport_rejects_total", telemetry.Counter, "sends rejected at a full queue"},
+	{"ringcast_transport_dial_failures_total", telemetry.Counter, "outbound dials that failed"},
+	{"ringcast_transport_queue_depth", telemetry.Gauge, "frames currently queued across writers"},
+	{"ringcast_transport_writers", telemetry.Gauge, "live writer goroutines"},
+	{"ringcast_topic_frames_sent_total", telemetry.Counter, "frames sent, attributed per topic (pub/sub)"},
+	{"ringcast_topic_bytes_sent_total", telemetry.Counter, "bytes sent, attributed per topic (pub/sub)"},
+	{"ringcast_topic_rejects_total", telemetry.Counter, "queue-full rejects, attributed per topic (pub/sub)"},
+	{"ringcast_stray_frames_total", telemetry.Counter, "frames for unknown topics, dropped by the mux"},
+	{"ringcast_config_version", telemetry.Gauge, "config store version, bumped per accepted Set"},
+	{"ringcast_config_gossip_interval_seconds", telemetry.Gauge, "current gossip cycle length T"},
+	{"ringcast_config_fanout", telemetry.Gauge, "current dissemination fanout F"},
+	{"ringcast_config_send_queue_cap", telemetry.Gauge, "current per-destination send queue capacity"},
+	{"ringcast_epoch", telemetry.Gauge, "incarnation epoch stamped into published message IDs"},
+}
+
 // buildRegistry wires the node's counters and the config store's current
-// state into a telemetry registry for the -metrics endpoint. Node counters
-// carry a topic label (the plain overlay publishes under topic "-"); the
-// ringcast_transport_* family is the base-socket aggregate; in pub/sub
-// mode ringcast_topic_* adds the per-topic mux attribution on top.
+// state into a telemetry registry for the -metrics endpoint, under the
+// families declared above.
 func buildRegistry(rt *runtime, s *config.Store, epoch uint32) *telemetry.Registry {
 	r := telemetry.NewRegistry()
-	r.Describe("ringcast_node_published_total", telemetry.Counter, "messages published locally")
-	r.Describe("ringcast_node_delivered_total", telemetry.Counter, "messages delivered to the application")
-	r.Describe("ringcast_node_duplicates_total", telemetry.Counter, "duplicate receives suppressed by dedup")
-	r.Describe("ringcast_node_forwarded_total", telemetry.Counter, "dissemination forwards sent")
-	r.Describe("ringcast_node_send_errors_total", telemetry.Counter, "sends that failed or were rejected")
-	r.Describe("ringcast_transport_frames_sent_total", telemetry.Counter, "frames handed to the wire, all overlays")
-	r.Describe("ringcast_transport_bytes_sent_total", telemetry.Counter, "marshalled bytes sent, all overlays")
-	r.Describe("ringcast_transport_drops_total", telemetry.Counter, "frames dropped by backpressure")
-	r.Describe("ringcast_transport_rejects_total", telemetry.Counter, "sends rejected at a full queue")
-	r.Describe("ringcast_transport_dial_failures_total", telemetry.Counter, "outbound dials that failed")
-	r.Describe("ringcast_transport_queue_depth", telemetry.Gauge, "frames currently queued across writers")
-	r.Describe("ringcast_transport_writers", telemetry.Gauge, "live writer goroutines")
-	r.Describe("ringcast_topic_frames_sent_total", telemetry.Counter, "frames sent, attributed per topic (pub/sub)")
-	r.Describe("ringcast_topic_bytes_sent_total", telemetry.Counter, "bytes sent, attributed per topic (pub/sub)")
-	r.Describe("ringcast_topic_rejects_total", telemetry.Counter, "queue-full rejects, attributed per topic (pub/sub)")
-	r.Describe("ringcast_stray_frames_total", telemetry.Counter, "frames for unknown topics, dropped by the mux")
-	r.Describe("ringcast_config_version", telemetry.Gauge, "config store version, bumped per accepted Set")
-	r.Describe("ringcast_config_gossip_interval_seconds", telemetry.Gauge, "current gossip cycle length T")
-	r.Describe("ringcast_config_fanout", telemetry.Gauge, "current dissemination fanout F")
-	r.Describe("ringcast_config_send_queue_cap", telemetry.Gauge, "current per-destination send queue capacity")
-	r.Describe("ringcast_epoch", telemetry.Gauge, "incarnation epoch stamped into published message IDs")
+	for _, f := range families {
+		r.Describe(f.name, f.typ, f.help)
+	}
 	r.Collect(func() []telemetry.Sample {
 		var out []telemetry.Sample
 		nds := rt.nodes()
@@ -198,6 +208,7 @@ func buildRegistry(rt *runtime, s *config.Store, epoch uint32) *telemetry.Regist
 				telemetry.Sample{Name: "ringcast_node_duplicates_total", Labels: lbl, Value: float64(st.Duplicates)},
 				telemetry.Sample{Name: "ringcast_node_forwarded_total", Labels: lbl, Value: float64(st.Forwarded)},
 				telemetry.Sample{Name: "ringcast_node_send_errors_total", Labels: lbl, Value: float64(st.SendErrors)},
+				telemetry.Sample{Name: "ringcast_node_queue_full_total", Labels: lbl, Value: float64(st.QueueFull)},
 			)
 		}
 		ts := rt.transportStats()

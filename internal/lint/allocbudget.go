@@ -5,56 +5,81 @@ import (
 	"fmt"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// AllocBudgetName identifies the allocation-budget gate in diagnostics and
-// `//lint:allocbudget` waivers, alongside the AST analyzers' Name fields.
-const AllocBudgetName = "allocbudget"
+// allocBudgetName identifies the allocation-budget gate in diagnostics and
+// `//lint:allocbudget` waivers, alongside the analyzers' Name fields.
+const allocBudgetName = "allocbudget"
 
-// AllocBudgetDoc describes the gate for -help output.
-const AllocBudgetDoc = "per-hotpath-function escape counts must not grow past the checked-in allocs.baseline; refresh a deliberate change with -update-baseline"
+// allocBudgetDoc describes the gate for -help output.
+const allocBudgetDoc = "ringcast:hotpath functions must not gain heap escapes (compiler -gcflags=-m) past the checked-in allocs.baseline; refresh a deliberate change with -update-baseline"
 
-// AllocBudget grows hotalloc into a regression ratchet. Hotalloc fails on
-// any unwaived escape, but a waived allocation can silently multiply — the
-// waiver matches the line, not the count, and a refactor that turns one
-// deliberate escape into five ships clean. The budget closes that: the
-// checked-in baseline records the RAW compiler escape count (waivers
-// included, so the number is stable and honest) for every
-// `ringcast:hotpath`-marked function, keyed "<pkgpath>.<func>", and any
-// increase over baseline is a finding. So are a marked function missing from
-// the baseline and a stale baseline entry whose function lost its marker —
-// both mean the file and the tree have drifted. Decreases pass silently;
-// tighten the record with -update-baseline when one lands. update rewrites
-// the baseline from the current tree instead of checking.
+// escapeLineRe matches one compiler escape diagnostic:
+// "file.go:line:col: x escapes to heap" / "moved to heap: x".
+var escapeLineRe = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): .*(?:escapes to heap|moved to heap)`)
+
+// AllocBudget is the escape gate. It asks the compiler itself, running
+// `go build -gcflags=-m` once over only the packages that hold
+// `ringcast:hotpath` functions, and counts the escape diagnostics inside
+// each marked function's body, so a refactor that makes a hot-path function
+// start allocating breaks CI instead of shipping. The checked-in baseline
+// records the count per function, keyed "<pkgpath>.<func>" (0 for every
+// function in the tree today). A count above its baseline is a finding; so
+// are a marked function missing from the baseline and a stale entry of a
+// loaded package whose function lost its marker. Decreases pass silently.
+// update rewrites the baseline from the current tree instead, keeping the
+// rows of packages outside pkgs.
 func AllocBudget(dir string, pkgs []*Package, baselinePath string, update bool) ([]Diagnostic, error) {
 	type markedFn struct {
 		key string
 		fn  HotpathFunc
 	}
 	var marked []markedFn
+	var hotPkgs []string
+	loaded := map[string]bool{}
 	for _, pkg := range pkgs {
-		for _, fn := range HotpathFuncs(pkg.Fset, pkg.Syntax) {
+		loaded[pkg.PkgPath] = true
+		fns := HotpathFuncs(pkg.Fset, pkg.Syntax)
+		for _, fn := range fns {
 			marked = append(marked, markedFn{key: pkg.PkgPath + "." + fn.Name, fn: fn})
+		}
+		if len(fns) > 0 {
+			hotPkgs = append(hotPkgs, pkg.PkgPath)
 		}
 	}
 	if len(marked) == 0 && !update {
 		return nil, nil
 	}
 
-	out, err := escapeOutput(dir)
+	escapes, err := escapeLines(dir, hotPkgs)
 	if err != nil {
 		return nil, err
 	}
 	counts := map[string]int{}
 	for _, m := range marked {
-		counts[m.key] = countEscapes(dir, m.fn, out)
+		n := 0
+		for _, line := range escapes[m.fn.File] {
+			if line >= m.fn.Start && line <= m.fn.End {
+				n++
+			}
+		}
+		counts[m.key] = n
 	}
 
 	if update {
+		// Rows of packages outside this load are kept as they are.
+		old, _, _ := readBaseline(baselinePath)
+		for key, n := range old {
+			if !loaded[keyPkg(key)] {
+				counts[key] = n
+			}
+		}
 		return nil, writeBaseline(baselinePath, counts)
 	}
 
@@ -71,14 +96,14 @@ func AllocBudget(dir string, pkgs []*Package, baselinePath string, update bool) 
 		switch {
 		case !inBaseline:
 			diags = append(diags, Diagnostic{
-				Analyzer: AllocBudgetName,
+				Analyzer: allocBudgetName,
 				Pos:      pos,
 				Message: fmt.Sprintf("hotpath function %s has no allocation budget in %s; record it with -update-baseline",
 					m.key, filepath.Base(baselinePath)),
 			})
 		case counts[m.key] > have:
 			diags = append(diags, Diagnostic{
-				Analyzer: AllocBudgetName,
+				Analyzer: allocBudgetName,
 				Pos:      pos,
 				Message: fmt.Sprintf("allocation budget regression in %s: %d heap escape(s), baseline allows %d — remove the allocation or deliberately raise the budget with -update-baseline",
 					m.key, counts[m.key], have),
@@ -87,14 +112,14 @@ func AllocBudget(dir string, pkgs []*Package, baselinePath string, update bool) 
 	}
 	var staleKeys []string
 	for key := range baseline {
-		if _, stillMarked := counts[key]; !stillMarked {
+		if _, stillMarked := counts[key]; !stillMarked && loaded[keyPkg(key)] {
 			staleKeys = append(staleKeys, key)
 		}
 	}
 	sort.Strings(staleKeys)
 	for _, key := range staleKeys {
 		diags = append(diags, Diagnostic{
-			Analyzer: AllocBudgetName,
+			Analyzer: allocBudgetName,
 			Pos:      token.Position{Filename: baselinePath, Line: lines[key]},
 			Message: fmt.Sprintf("stale baseline entry %s: no such ringcast:hotpath function in the tree; refresh with -update-baseline",
 				key),
@@ -103,11 +128,21 @@ func AllocBudget(dir string, pkgs []*Package, baselinePath string, update bool) 
 	return diags, nil
 }
 
-// countEscapes counts raw compiler escape diagnostics inside one marked
-// function's body range. buildOutput file paths are relative to dir.
-func countEscapes(dir string, fn HotpathFunc, buildOutput string) int {
-	count := 0
-	for _, line := range strings.Split(buildOutput, "\n") {
+// escapeLines compiles pkgPaths with -gcflags=-m in the module rooted at dir
+// and returns the line numbers of the escape diagnostics, by absolute file.
+// The build replays from the cache when the packages have not changed.
+func escapeLines(dir string, pkgPaths []string) (map[string][]int, error) {
+	lines := map[string][]int{}
+	if len(pkgPaths) == 0 {
+		return lines, nil
+	}
+	cmd := exec.Command("go", append([]string{"build", "-gcflags=-m"}, pkgPaths...)...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return nil, fmt.Errorf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
 		m := escapeLineRe.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
@@ -116,20 +151,24 @@ func countEscapes(dir string, fn HotpathFunc, buildOutput string) int {
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(dir, file)
 		}
-		if file != fn.File {
-			continue
-		}
-		lineNo, _ := strconv.Atoi(m[2])
-		if lineNo >= fn.Start && lineNo <= fn.End {
-			count++
-		}
+		n, _ := strconv.Atoi(m[2])
+		lines[file] = append(lines[file], n)
 	}
-	return count
+	return lines, nil
+}
+
+// keyPkg returns the package path of a "<pkgpath>.<func>" baseline key.
+func keyPkg(key string) string {
+	slash := strings.LastIndexByte(key, '/') + 1
+	if dot := strings.IndexByte(key[slash:], '.'); dot >= 0 {
+		return key[:slash+dot]
+	}
+	return key
 }
 
 // baselineHeader introduces the checked-in budget file.
-const baselineHeader = `# ringcast-lint allocation budget: raw -gcflags=-m heap-escape counts per
-# ringcast:hotpath function (waived escapes included, so counts stay stable).
+const baselineHeader = `# ringcast-lint allocation budget: -gcflags=-m heap-escape counts per
+# ringcast:hotpath function, the one escape gate of the suite.
 # CI fails on any increase. Regenerate after a deliberate change with:
 #   go run ./cmd/ringcast-lint -update-baseline ./...
 `

@@ -241,43 +241,14 @@ func (b *graphBuilder) litNode(owner *FuncNode, pkg *Package, lit *ast.FuncLit) 
 // addCall resolves one call expression to graph edges from owner. isGo marks
 // edges from `go` statements.
 func (b *graphBuilder) addCall(owner *FuncNode, pkg *Package, call *ast.CallExpr, isGo bool) {
-	info := pkg.TypesInfo
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return // conversion, not a call
-	}
-	fun := ast.Unparen(call.Fun)
-	// Unwrap explicit generic instantiation: foo[T](x).
-	switch ix := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ix.X
-	case *ast.IndexListExpr:
-		fun = ix.X
-	}
-
-	link := func(callee *FuncNode, asGo bool) {
-		owner.Edges = append(owner.Edges, CallEdge{Callee: callee, Pos: call.Pos(), Go: asGo})
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		callee := b.litNode(owner, pkg, lit)
+		owner.Edges = append(owner.Edges, CallEdge{Callee: callee, Pos: call.Pos(), Go: isGo})
 		b.g.calls[call] = append(b.g.calls[call], callee)
-	}
-
-	switch fun := fun.(type) {
-	case *ast.FuncLit:
-		link(b.litNode(owner, pkg, fun), isGo)
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			b.linkResolved(owner, pkg, call, fn, isGo)
-		}
-		// *types.Var / *types.Builtin: a dynamic call through a function
-		// value, or close/len/append — no edge.
-	case *ast.SelectorExpr:
-		var fn *types.Func
-		if selection := info.Selections[fun]; selection != nil {
-			fn, _ = selection.Obj().(*types.Func) // nil for func-typed fields
-		} else if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			fn = f // qualified package function: pkg.F
-		}
-		if fn != nil {
-			b.linkResolved(owner, pkg, call, fn, isGo)
-		}
+	} else if fn := calleeFunc(pkg.TypesInfo, call); fn != nil {
+		// A nil callee is a dynamic call through a function value, a
+		// builtin or a conversion: no edge.
+		b.linkResolved(owner, pkg, call, fn, isGo)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -33,13 +34,12 @@ const leakSiteCap = 8
 // computeFacts establishes direct facts and propagates them to a fixpoint.
 func computeFacts(g *CallGraph, pkgs []*Package) {
 	pre := preScan(pkgs)
+	scan := newFactScan(pre)
 	for _, n := range g.Nodes {
-		switch {
-		case n.Decl != nil:
-			scanBody(n, n.Decl.Body, pre)
-		case n.Lit != nil:
-			scanBody(n, n.Lit.Body, pre)
-		default:
+		if body := nodeBody(n); body != nil {
+			scan.node = n
+			scan.walkBody(n.Pkg.TypesInfo, body)
+		} else {
 			classifyExternal(n, pre)
 		}
 	}
@@ -84,14 +84,7 @@ func mergeLeaks(n *FuncNode, sites []LeakSite) bool {
 		if len(n.LeakSites) >= leakSiteCap {
 			return changed
 		}
-		dup := false
-		for _, have := range n.LeakSites {
-			if have.Pos == s.Pos {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(n.LeakSites, func(have LeakSite) bool { return have.Pos == s.Pos }) {
 			n.LeakSites = append(n.LeakSites, s)
 			changed = true
 		}
@@ -223,38 +216,16 @@ func exprObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // classifyExternal assigns direct facts to out-of-module (and interface
-// method) nodes by full name and receiver type — the interprocedural
-// generalization of the lockio/detrand classification tables.
+// method) nodes by full name and receiver type: the blocking-call table
+// lockio uses (walk.go) and detrand's rand/clock tables.
 func classifyExternal(n *FuncNode, pre *preScanned) {
 	if n.Obj == nil {
 		return
 	}
-	full := n.Name
 	sig, _ := n.Obj.Type().(*types.Signature)
 
-	// Blocking classification (lockio's table).
-	switch {
-	case full == "time.Sleep":
-		n.setBlock(token.NoPos, "time.Sleep")
-	case strings.HasPrefix(full, "net.Dial"):
-		n.setBlock(token.NoPos, full)
-	case full == "(*sync.WaitGroup).Wait":
-		n.setBlock(token.NoPos, "sync.WaitGroup.Wait")
-	case full == "(*sync.Cond).Wait":
-		n.setBlock(token.NoPos, "sync.Cond.Wait")
-	}
-	if sig != nil && sig.Recv() != nil {
-		recv := sig.Recv().Type()
-		switch n.Obj.Name() {
-		case "Read", "Write":
-			if implementsIface(recv, pre.conn) {
-				n.setBlock(token.NoPos, "net.Conn."+n.Obj.Name())
-			}
-		case "Accept":
-			if implementsIface(recv, pre.listener) {
-				n.setBlock(token.NoPos, "net.Listener.Accept")
-			}
-		}
+	if what := blockingCall(n.Obj, pre.conn, pre.listener); what != "" {
+		n.setBlock(token.NoPos, what)
 	}
 
 	// Rand/clock classification (detrand's tables). Methods on explicit
@@ -291,174 +262,83 @@ func (n *FuncNode) setRand(what string) {
 	}
 }
 
-// scanBody establishes the direct syntactic facts of one in-module function
-// body: channel operations (blocking and possibly leaking), select shapes,
-// and mutex acquisitions. Calls contribute through graph edges, not here.
-// Nested function literals are separate nodes and are skipped.
-func scanBody(n *FuncNode, body *ast.BlockStmt, pre *preScanned) {
-	if body == nil {
-		return
-	}
-	info := n.Pkg.TypesInfo
-	var walk func(ast.Node)
-	walk = func(root ast.Node) {
-		ast.Inspect(root, func(node ast.Node) bool {
-			switch node := node.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.GoStmt:
-				// The spawned call blocks the goroutine, not this body.
-				return false
-			case *ast.SelectStmt:
-				scanSelect(n, node, pre, walk)
-				return false
-			case *ast.SendStmt:
-				n.setBlock(node.Pos(), "channel send")
-				if !pre.bufferedChans[exprObj(info, node.Chan)] {
-					n.addLeak(node.Pos(), "channel send")
-				}
-				return true
-			case *ast.UnaryExpr:
-				if node.Op == token.ARROW {
-					n.setBlock(node.Pos(), "channel receive")
-					if !pre.closedChans[exprObj(info, node.X)] {
-						n.addLeak(node.Pos(), "channel receive")
-					}
-				}
-				return true
-			case *ast.RangeStmt:
-				if tv, ok := info.Types[node.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						n.setBlock(node.Pos(), "range over channel")
-						if !pre.closedChans[exprObj(info, node.X)] {
-							n.addLeak(node.Pos(), "range over channel")
-						}
-					}
-				}
-				return true
-			case *ast.CallExpr:
-				scanCall(n, node, pre)
-				return true
-			}
-			return true
-		})
-	}
-	walk(body)
+// A factScan establishes the direct syntactic facts of in-module bodies
+// through the shared body walker: channel operations (blocking and possibly
+// leaking), select shapes, mutex acquisitions and Conn/Listener leak sites.
+// Calls contribute their callee's facts through graph edges, not here, and
+// every function literal is a node of its own, so the walker's lit hook is
+// left unset.
+type factScan struct {
+	bodyWalker
+	node *FuncNode
 }
 
-// scanSelect classifies one select statement. With a default clause the whole
-// statement is a non-blocking attempt. Without one it blocks; two or more
-// comm clauses mean every arm has a sibling able to unblock the wait (the
-// done-channel pattern), so none is a leak site, while a single-clause select
-// is just its one operation and inherits the bare-operation leak rules.
-func scanSelect(n *FuncNode, sel *ast.SelectStmt, pre *preScanned, walk func(ast.Node)) {
-	info := n.Pkg.TypesInfo
-	var comms []*ast.CommClause
-	hasDefault := false
-	for _, clause := range sel.Body.List {
-		cc, ok := clause.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
-			hasDefault = true
-		} else {
-			comms = append(comms, cc)
+func newFactScan(pre *preScanned) *factScan {
+	s := &factScan{}
+	leak := func(pos token.Pos, what string, ch ast.Expr, cancelled map[types.Object]bool) {
+		if !cancelled[exprObj(s.info, ch)] {
+			s.node.addLeak(pos, what)
 		}
 	}
-	if !hasDefault {
-		n.setBlock(sel.Pos(), "select without default")
-		if len(comms) == 1 {
-			switch comm := comms[0].Comm.(type) {
+	s.block = func(n ast.Node, what string) {
+		s.node.setBlock(n.Pos(), what)
+		switch n := n.(type) {
+		case *ast.SendStmt:
+			leak(n.Pos(), what, n.Chan, pre.bufferedChans)
+		case *ast.UnaryExpr:
+			leak(n.Pos(), what, n.X, pre.closedChans)
+		case *ast.RangeStmt:
+			leak(n.Pos(), what, n.X, pre.closedChans)
+		case *ast.SelectStmt:
+			// Two or more comm clauses mean every arm has a sibling able to
+			// unblock the wait (the done-channel pattern), so none is a leak
+			// site; a single-clause select is just its one operation.
+			if len(n.Body.List) != 1 {
+				return
+			}
+			switch comm := n.Body.List[0].(*ast.CommClause).Comm.(type) {
 			case *ast.SendStmt:
-				if !pre.bufferedChans[exprObj(info, comm.Chan)] {
-					n.addLeak(comm.Pos(), "channel send (single-arm select)")
-				}
+				leak(comm.Pos(), "channel send (single-arm select)", comm.Chan, pre.bufferedChans)
 			case *ast.ExprStmt:
 				if ue, ok := comm.X.(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-					if !pre.closedChans[exprObj(info, ue.X)] {
-						n.addLeak(ue.Pos(), "channel receive (single-arm select)")
-					}
+					leak(ue.Pos(), "channel receive (single-arm select)", ue.X, pre.closedChans)
 				}
 			case *ast.AssignStmt:
 				for _, rhs := range comm.Rhs {
 					if ue, ok := ast.Unparen(rhs).(*ast.UnaryExpr); ok && ue.Op == token.ARROW {
-						if !pre.closedChans[exprObj(info, ue.X)] {
-							n.addLeak(ue.Pos(), "channel receive (single-arm select)")
-						}
+						leak(ue.Pos(), "channel receive (single-arm select)", ue.X, pre.closedChans)
 					}
 				}
 			}
 		}
 	}
-	for _, cc := range comms {
-		for _, stmt := range cc.Body {
-			walk(stmt)
+	s.acquire = func(l heldLock) {
+		if l.obj == nil {
+			return
+		}
+		if s.node.Acquires == nil {
+			s.node.Acquires = map[types.Object]token.Pos{}
+		}
+		if _, have := s.node.Acquires[l.obj]; !have {
+			s.node.Acquires[l.obj] = l.pos
 		}
 	}
-	if hasDefault {
-		// Bodies of the comm clauses still run; the comm operations
-		// themselves are non-blocking attempts. Walk bodies only (done
-		// above covers comms list; default body too).
-		for _, clause := range sel.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				for _, stmt := range cc.Body {
-					walk(stmt)
-				}
+	// Conn/Listener I/O blocks through the graph edge to the external node;
+	// whether it can leak depends on the owning package closing its conns.
+	s.call = func(call *ast.CallExpr, fn *types.Func) {
+		switch what := blockingCall(fn, pre.conn, pre.listener); what {
+		case "net.Conn.Read", "net.Conn.Write", "net.Listener.Accept":
+			if !pre.closesConn[s.node.Pkg] {
+				s.node.addLeak(call.Pos(), what)
 			}
 		}
 	}
-}
-
-// scanCall handles the direct-fact contributions of one call: mutex
-// acquisitions keyed by the receiver object, and Conn/Listener I/O leak
-// sites (their blocking classification arrives through the graph edge to the
-// external node; the leak verdict needs the package context, so it is
-// established here).
-func scanCall(n *FuncNode, call *ast.CallExpr, pre *preScanned) {
-	info := n.Pkg.TypesInfo
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	selection := info.Selections[sel]
-	if selection == nil {
-		return
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok {
-		return
-	}
-	if acquire, isLock := lockMethods[fn.FullName()]; isLock && acquire {
-		if obj := exprObj(info, sel.X); obj != nil {
-			if n.Acquires == nil {
-				n.Acquires = map[types.Object]token.Pos{}
-			}
-			if _, have := n.Acquires[obj]; !have {
-				n.Acquires[obj] = call.Pos()
-			}
-		}
-		return
-	}
-	recv := selection.Recv()
-	switch sel.Sel.Name {
-	case "Read", "Write":
-		if implementsIface(recv, pre.conn) && !pre.closesConn[n.Pkg] {
-			n.addLeak(call.Pos(), "net.Conn."+sel.Sel.Name)
-		}
-	case "Accept":
-		if implementsIface(recv, pre.listener) && !pre.closesConn[n.Pkg] {
-			n.addLeak(call.Pos(), "net.Listener.Accept")
-		}
-	}
+	return s
 }
 
 // addLeak records one direct leak site, respecting the cap.
 func (n *FuncNode) addLeak(pos token.Pos, what string) {
-	if len(n.LeakSites) >= leakSiteCap {
-		return
-	}
-	n.LeakSites = append(n.LeakSites, LeakSite{Pos: pos, What: what})
+	mergeLeaks(n, []LeakSite{{Pos: pos, What: what}})
 }
 
 // blockChain renders why n may block as a human-readable call chain ending at

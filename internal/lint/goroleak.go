@@ -36,7 +36,7 @@ func runGoroleak(pass *ModulePass) error {
 			s := e.Callee.LeakSites[0]
 			pass.Reportf(e.Pos,
 				"goroutine spawned here can block forever: %s at %s has no reachable cancellation path — add a done-channel select arm, close the channel from its owner, or Close the conn on shutdown",
-				s.What, pass.Module.Fset.Position(s.Pos))
+				s.What, sitePos(pass.Module.Fset, s.Pos))
 		}
 	}
 	return nil

@@ -1,25 +1,26 @@
 // Package lint is ringcast's custom static-analysis suite: it turns the
 // determinism and concurrency contracts that ARCHITECTURE.md states in prose
-// into mechanically enforced policy. Four per-package analyzers encode the
+// into mechanically enforced policy. Three per-package analyzers encode the
 // repository's direct invariants: detrand (packages carrying the
 // `ringcast:deterministic` marker must derive every random draw from
 // per-unit seeded streams and may not read the wall clock), maporder (map
-// iteration order must not reach table/CSV/fold output unsorted), lockio
+// iteration order must not reach table/CSV/fold output unsorted), and lockio
 // (no blocking call — network I/O, channel operation, sleep, WaitGroup wait
 // — while a sync mutex is held; the exact bug class the async transport
-// rewrite fixed), and hotalloc (functions carrying the `ringcast:hotpath`
-// marker must stay free of heap escapes, checked against the compiler's own
-// -gcflags=-m escape analysis). Four interprocedural analyzers catch the
-// same contracts violated *through a call*, using a module-wide call graph
-// and propagated per-function facts (callgraph.go, facts.go, module.go):
-// lockorder (cross-package lock-acquisition cycles — potential deadlock —
-// and transitive blocking under a lock), goroleak (goroutines that can park
-// forever on a channel with no reachable cancellation path), detflow
+// rewrite fixed). Three interprocedural analyzers catch the same contracts
+// violated *through a call*, using a module-wide call graph and propagated
+// per-function facts (callgraph.go, facts.go, module.go): lockorder
+// (cross-package lock-acquisition cycles — potential deadlock — and
+// transitive blocking under a lock), goroleak (goroutines that can park
+// forever on a channel with no reachable cancellation path), and detflow
 // (deterministic packages reaching global rand or the wall clock through
-// unmarked helper packages), and allocbudget (per-hotpath-function escape
-// counts ratcheted against the checked-in allocs.baseline). The framework
-// mirrors golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) but
-// is built on the standard library alone: packages load via
+// unmarked helper packages). Lockio, lockorder and the fact scan share one
+// source-order body walker and one blocking-call table (walk.go). The one
+// escape gate, allocbudget, holds every function carrying the
+// `ringcast:hotpath` marker to its checked-in allocs.baseline count of
+// compiler -gcflags=-m heap escapes. Check runs the whole suite. The
+// framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
+// Diagnostic) but is built on the standard library alone: packages load via
 // `go list -export` and typecheck against compiler export data, so the
 // suite needs no dependencies outside the Go toolchain. Sites where a rule
 // is deliberately broken carry `//lint:<analyzer> <why>` waivers; a waiver
@@ -33,7 +34,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -104,7 +107,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // not match.
 var markerRe = regexp.MustCompile(`^//[ \t]?ringcast:deterministic\b`)
 
-// hotpathRe matches the function-scope hot-path marker used by hotalloc.
+// hotpathRe matches the function-scope hot-path marker used by allocbudget.
 var hotpathRe = regexp.MustCompile(`^//[ \t]?ringcast:hotpath\b`)
 
 // waiverRe matches suppression comments: `//lint:<analyzer> <justification>`.
@@ -160,7 +163,7 @@ func hasDeterministicMarker(files []*ast.File) bool {
 
 // HotpathFuncs returns the declared functions in files whose doc comment
 // carries the `ringcast:hotpath` directive, as printable names with body
-// position ranges (used by the hotalloc escape-analysis check).
+// position ranges (used by the allocbudget escape gate).
 func HotpathFuncs(fset *token.FileSet, files []*ast.File) []HotpathFunc {
 	var out []HotpathFunc
 	for _, f := range files {
@@ -194,13 +197,53 @@ func HotpathFuncs(fset *token.FileSet, files []*ast.File) []HotpathFunc {
 	return out
 }
 
-// A HotpathFunc is one function marked `ringcast:hotpath`: hotalloc fails the
-// build if compiler escape analysis reports a heap escape between Start and
-// End of File.
+// A HotpathFunc is one function marked `ringcast:hotpath`: allocbudget counts
+// the compiler's heap escapes between lines Start and End of File.
 type HotpathFunc struct {
 	Name       string
 	File       string
 	Start, End int
+}
+
+// packageAnalyzers and moduleAnalyzers are the suite Check runs besides
+// allocbudget.
+var (
+	packageAnalyzers = []*Analyzer{Detrand, Maporder, Lockio}
+	moduleAnalyzers  = []*ModuleAnalyzer{Lockorder, Goroleak, Detflow}
+)
+
+// Check runs the whole suite over the packages patterns name in the module
+// rooted at dir (./... when none are given): the per-package and
+// interprocedural analyzers and the allocbudget gate against baselinePath,
+// all through the waiver filter. It is the one place the suite is
+// assembled; ringcast-lint and the repository's own lint test call it.
+func Check(dir, baselinePath string, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := Load(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	extra, ran, err := RunModuleAnalyzers(NewModule(pkgs), moduleAnalyzers)
+	if err != nil {
+		return nil, err
+	}
+	budget, err := AllocBudget(dir, pkgs, baselinePath, false)
+	if err != nil {
+		return nil, err
+	}
+	return RunAnalyzers(pkgs, packageAnalyzers, append(extra, budget...), append(ran, allocBudgetName)...)
+}
+
+// Help writes one line per check of the suite, name and contract, in the
+// order Check runs them.
+func Help(w io.Writer) {
+	line := func(name, doc string) { fmt.Fprintf(w, "  %-11s %s\n", name, doc) }
+	for _, a := range packageAnalyzers {
+		line(a.Name, a.Doc)
+	}
+	for _, a := range moduleAnalyzers {
+		line(a.Name, a.Doc)
+	}
+	line(allocBudgetName, allocBudgetDoc)
 }
 
 // RunAnalyzers executes the AST analyzers over the loaded packages, applies
@@ -208,11 +251,9 @@ type HotpathFunc struct {
 // and unused waivers. Diagnostics come back sorted by position.
 //
 // extra carries position-resolved diagnostics produced outside the AST
-// passes (the hotalloc escape check); they pass through the same waiver
-// filter so `//lint:hotalloc <why>` works like every other waiver. extraRan
-// names those non-AST checks that actually executed, so their waivers are
-// audited for staleness only when the check ran (the AST-only test harness
-// must not flag hotalloc waivers as unused).
+// passes (the module analyzers and allocbudget); they pass through the same
+// waiver filter. extraRan names the checks that produced them, so their
+// waivers are audited for staleness only when the check ran.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, extra []Diagnostic, extraRan ...string) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	var waivers []*waiver
@@ -278,22 +319,22 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, extra []Diagnostic, ex
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return a.Column < b.Column
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		return out[i].String() < out[j].String()
 	})
-	return out, nil
+	// A deferred call replays at every return of its function, so the same
+	// finding can arrive more than once; report it once.
+	return slices.Compact(out), nil
 }
 
 // matchWaiver finds a waiver for d: same analyzer, same file, on d's line or
 // the line directly above.
 func matchWaiver(waivers []*waiver, d Diagnostic) *waiver {
 	for _, w := range waivers {
-		if w.analyzer != d.Analyzer {
-			continue
-		}
-		if w.pos.Filename != d.Pos.Filename {
-			continue
-		}
-		if w.pos.Line == d.Pos.Line || w.pos.Line == d.Pos.Line-1 {
+		if w.analyzer == d.Analyzer && w.pos.Filename == d.Pos.Filename &&
+			(w.pos.Line == d.Pos.Line || w.pos.Line == d.Pos.Line-1) {
 			return w
 		}
 	}

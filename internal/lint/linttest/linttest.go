@@ -17,6 +17,7 @@ package linttest
 
 import (
 	"fmt"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -45,44 +46,7 @@ type expectation struct {
 // diagnostics against the fixture's `// want` comments.
 func Run(t *testing.T, dir string, a *lint.Analyzer) {
 	t.Helper()
-	pkg, err := lint.LoadFixture(dir)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{a}, nil)
-	if err != nil {
-		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
-	}
-
-	expectations := collectWants(t, pkg)
-	for _, d := range diags {
-		if !claim(expectations, d.Pos.Filename, d.Pos.Line, d.Message) {
-			t.Errorf("unexpected finding at %s: [%s] %s", d.Pos, d.Analyzer, d.Message)
-		}
-	}
-	for _, e := range expectations {
-		if !e.matched {
-			t.Errorf("%s:%d: expected finding matching %q, got none", e.file, e.line, e.re)
-		}
-	}
-}
-
-// RunExpectClean loads the fixture at dir, runs a, and fails on any finding
-// at all — for fixtures proving an analyzer stays silent (e.g. a package
-// without the determinism marker).
-func RunExpectClean(t *testing.T, dir string, a *lint.Analyzer) {
-	t.Helper()
-	pkg, err := lint.LoadFixture(dir)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{a}, nil)
-	if err != nil {
-		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
-	}
-	for _, d := range diags {
-		t.Errorf("expected no findings, got %s: [%s] %s", d.Pos, d.Analyzer, d.Message)
-	}
+	expect(t, dir, []*lint.Analyzer{a}, nil)
 }
 
 // RunModule loads the fixture tree at dir (one package per subdirectory,
@@ -93,20 +57,56 @@ func RunExpectClean(t *testing.T, dir string, a *lint.Analyzer) {
 // Run.
 func RunModule(t *testing.T, dir string, as ...*lint.ModuleAnalyzer) {
 	t.Helper()
+	expect(t, dir, nil, as)
+}
+
+// Diagnostics is a convenience for bespoke tests (the waiver audit) that
+// want the raw filtered findings of several analyzers.
+func Diagnostics(t *testing.T, dir string, as ...*lint.Analyzer) []lint.Diagnostic {
+	t.Helper()
+	_, diags := diagnose(t, dir, as, nil)
+	return diags
+}
+
+// diagnose loads the fixture tree at dir and runs the analyzers through the
+// driver's waiver filter. It also fails the test on any finding whose
+// message embeds the fixture's absolute directory: findings must read the
+// same from every checkout.
+func diagnose(t *testing.T, dir string, as []*lint.Analyzer, ms []*lint.ModuleAnalyzer) ([]*lint.Package, []lint.Diagnostic) {
+	t.Helper()
 	pkgs, err := lint.LoadFixtureTree(dir)
 	if err != nil {
-		t.Fatalf("load fixture tree %s: %v", dir, err)
+		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	m := lint.NewModule(pkgs)
-	raw, ran, err := lint.RunModuleAnalyzers(m, as)
+	var raw []lint.Diagnostic
+	var ran []string
+	if len(ms) > 0 {
+		if raw, ran, err = lint.RunModuleAnalyzers(lint.NewModule(pkgs), ms); err != nil {
+			t.Fatalf("run module analyzers on %s: %v", dir, err)
+		}
+	}
+	diags, err := lint.RunAnalyzers(pkgs, as, raw, ran...)
 	if err != nil {
-		t.Fatalf("run module analyzers on %s: %v", dir, err)
+		t.Fatalf("run analyzers on %s: %v", dir, err)
 	}
-	diags, err := lint.RunAnalyzers(pkgs, nil, raw, ran...)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		t.Fatalf("filter diagnostics on %s: %v", dir, err)
+		t.Fatal(err)
 	}
+	for _, d := range diags {
+		if strings.Contains(d.Message, abs) {
+			t.Errorf("finding message embeds the checkout path %s: %s", abs, d)
+		}
+	}
+	return pkgs, diags
+}
 
+// expect runs the analyzers on the fixture at dir and checks the findings
+// against its `// want` comments: every finding must match one, and every
+// one must be matched.
+func expect(t *testing.T, dir string, as []*lint.Analyzer, ms []*lint.ModuleAnalyzer) {
+	t.Helper()
+	pkgs, diags := diagnose(t, dir, as, ms)
 	var expectations []*expectation
 	for _, pkg := range pkgs {
 		expectations = append(expectations, collectWants(t, pkg)...)
@@ -169,21 +169,6 @@ func claim(expectations []*expectation, file string, line int, message string) b
 		}
 	}
 	return false
-}
-
-// Diagnostics is a convenience for bespoke tests (the hotalloc escape
-// fixture) that want the raw filtered findings of several analyzers.
-func Diagnostics(t *testing.T, dir string, as ...*lint.Analyzer) []lint.Diagnostic {
-	t.Helper()
-	pkg, err := lint.LoadFixture(dir)
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunAnalyzers([]*lint.Package{pkg}, as, nil)
-	if err != nil {
-		t.Fatalf("run on %s: %v", dir, err)
-	}
-	return diags
 }
 
 // Describe formats diagnostics for failure messages.

@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // A Package is one typechecked target of the suite: parsed syntax (non-test
@@ -43,32 +42,11 @@ type listedPackage struct {
 	Module     *struct{ Path string }
 }
 
-// moduleImporter serves in-module packages from their source-typechecked
-// *types.Package and everything else (the standard library) from compiler
-// export data. Serving in-module imports from source — rather than from
-// export data, as the pre-interprocedural loader did — puts every package in
-// ONE type universe: the *types.Func a caller resolves for
-// `wire.Marshal` IS the object the wire package's own Syntax defines, so the
-// call graph, the facts tables and `types.Implements` checks work across
-// package boundaries on plain object identity.
-type moduleImporter struct {
-	fallback types.Importer
-	srcs     map[string]*types.Package
-}
-
-// Import implements types.Importer.
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p := m.srcs[path]; p != nil {
-		return p, nil
-	}
-	return m.fallback.Import(path)
-}
-
 // Load resolves patterns (e.g. "./...") against the module rooted at dir,
 // compiles export data for every dependency via `go list -deps -export`, and
 // parses + typechecks each in-module package from source, in dependency
 // order, against the packages already checked — so all targets share one
-// type universe (see moduleImporter) and interprocedural analyses can follow
+// type universe and interprocedural analyses can follow
 // objects across package boundaries. Only in-module packages come back as
 // analysis targets; out-of-module dependencies (the standard library) are
 // imported from export data, so loading needs no network and no third-party
@@ -78,19 +56,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Module",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, exports, err := listExports(dir, patterns)
 	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+		return nil, err
 	}
-
 	modPath, err := modulePath(dir)
 	if err != nil {
 		return nil, err
@@ -98,35 +67,28 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	// `go list -deps` streams dependencies before dependents, so keeping
 	// encounter order gives a valid typechecking order for free.
-	exports := map[string]string{}
 	var targets []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
+	for _, p := range listed {
 		if p.Module != nil && p.Module.Path == modPath {
 			targets = append(targets, p)
 		}
 	}
 
+	// In-module imports are served from source, everything else (the
+	// standard library) from export data. That puts every package in ONE
+	// type universe: the *types.Func a caller resolves for `wire.Marshal` IS
+	// the object the wire package's own Syntax defines, so the call graph,
+	// the facts tables and `types.Implements` checks work across package
+	// boundaries on plain object identity.
 	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		srcs: make(map[string]*types.Package, len(targets)),
-		fallback: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			f, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(f)
-		}),
-	}
+	fallback := exportImporter(fset, exports)
+	srcs := make(map[string]*types.Package, len(targets))
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := srcs[path]; p != nil {
+			return p, nil
+		}
+		return fallback.Import(path)
+	})
 
 	var pkgs []*Package
 	for _, t := range targets {
@@ -142,7 +104,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %w", t.ImportPath, err)
 		}
-		imp.srcs[t.ImportPath] = pkg
+		srcs[t.ImportPath] = pkg
 		pkgs = append(pkgs, &Package{
 			PkgPath:       t.ImportPath,
 			Dir:           t.Dir,
@@ -157,97 +119,31 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFixture parses and typechecks one analysistest-style fixture directory
-// (a single package of .go files outside the module build, e.g.
-// testdata/src/detrand). Imports are restricted to the standard library and
-// resolve through export data produced by `go list -deps -export std-path...`.
-func LoadFixture(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	imported := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, spec := range f.Imports {
-			imported[importPathOf(spec)] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%s: no Go files", dir)
-	}
-
-	exports, err := stdExports(dir, imported)
-	if err != nil {
-		return nil, err
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q (fixtures may import only the standard library)", path)
-		}
-		return os.Open(f)
-	})
-
-	name := filepath.Base(dir)
-	pkg, info, err := check(name, fset, files, imp)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck fixture %s: %w", dir, err)
-	}
-	return &Package{
-		PkgPath:       name,
-		Dir:           dir,
-		Fset:          fset,
-		Syntax:        files,
-		Types:         pkg,
-		TypesInfo:     info,
-		Deterministic: hasDeterministicMarker(files),
-	}, nil
-}
-
-// LoadFixtureTree loads an interprocedural fixture: a directory whose
-// immediate subdirectories are each one package, cross-importing each other
-// under the import path "<base(dir)>/<subdir>" (e.g. files under
-// testdata/src/lockorder/outer import "lockorder/inner"). All packages share
-// one FileSet and one type universe — sibling imports resolve to the
-// source-typechecked sibling, exactly as Load does for the real module — so
-// the call graph and facts layer behave identically on fixtures and on the
-// tree. A directory with .go files directly in it loads as a single package,
-// so single-package fixtures work through the same entry point. Imports
-// outside the tree are restricted to the standard library.
+// LoadFixtureTree loads an analysistest-style fixture outside the module
+// build. A directory with .go files directly in it is one package, imported
+// as base(dir) (e.g. testdata/src/detrand). Otherwise each immediate
+// subdirectory is one package, cross-importing the others under the import
+// path "<base(dir)>/<subdir>" (e.g. files under testdata/src/lockorder/outer
+// import "lockorder/inner"). All packages share one FileSet and one type
+// universe — sibling imports resolve to the source-typechecked sibling,
+// exactly as Load does for the real module — so the call graph and facts
+// layer behave identically on fixtures and on the tree. Imports outside the
+// tree are restricted to the standard library.
 func LoadFixtureTree(dir string) ([]*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var subdirs []string
-	direct := false
-	for _, e := range entries {
-		switch {
-		case e.IsDir():
-			subdirs = append(subdirs, e.Name())
-		case filepath.Ext(e.Name()) == ".go":
-			direct = true
-		}
-	}
-	if direct {
-		pkg, err := LoadFixture(dir)
-		if err != nil {
-			return nil, err
-		}
-		return []*Package{pkg}, nil
-	}
-	sort.Strings(subdirs)
 	base := filepath.Base(dir)
+	pkgDirs := map[string]string{} // import path -> directory
+	for _, e := range entries {
+		if e.IsDir() {
+			pkgDirs[base+"/"+e.Name()] = filepath.Join(dir, e.Name())
+		} else if filepath.Ext(e.Name()) == ".go" {
+			pkgDirs = map[string]string{base: dir}
+			break
+		}
+	}
 
 	// Parse every package first so the stdlib import closure is known before
 	// any typechecking starts.
@@ -255,32 +151,32 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 	syntax := map[string][]*ast.File{} // import path -> files
 	stdImports := map[string]bool{}
 	var paths []string
-	for _, sub := range subdirs {
-		path := base + "/" + sub
-		subEntries, err := os.ReadDir(filepath.Join(dir, sub))
+	for path := range pkgDirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		files, err := os.ReadDir(pkgDirs[path])
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range subEntries {
+		for _, e := range files {
 			if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
 				continue
 			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, sub, e.Name()), nil, parser.ParseComments)
+			f, err := parser.ParseFile(fset, filepath.Join(pkgDirs[path], e.Name()), nil, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
 			syntax[path] = append(syntax[path], f)
 			for _, spec := range f.Imports {
-				if p := importPathOf(spec); !strings.HasPrefix(p, base+"/") {
+				if p := importPathOf(spec); pkgDirs[p] == "" {
 					stdImports[p] = true
 				}
 			}
 		}
-		if len(syntax[path]) > 0 {
-			paths = append(paths, path)
-		}
 	}
-	if len(paths) == 0 {
+	if len(syntax) == 0 {
 		return nil, fmt.Errorf("%s: no fixture packages", dir)
 	}
 
@@ -288,27 +184,21 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fallback := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q (fixtures may import only the standard library and sibling fixture packages)", path)
-		}
-		return os.Open(f)
-	})
+	fallback := exportImporter(fset, exports)
 
 	// Typecheck on demand, recursing into sibling imports first (memoized),
 	// so declaration order in the tree never matters.
 	checked := map[string]*Package{}
 	var build func(path string) (*Package, error)
 	imp := importerFunc(func(path string) (*types.Package, error) {
-		if strings.HasPrefix(path, base+"/") {
-			p, err := build(path)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
+		if pkgDirs[path] == "" {
+			return fallback.Import(path)
 		}
-		return fallback.Import(path)
+		p, err := build(path)
+		if err != nil {
+			return nil, err
+		}
+		return p.Types, nil
 	})
 	build = func(path string) (*Package, error) {
 		if p, ok := checked[path]; ok {
@@ -324,7 +214,7 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 		}
 		p := &Package{
 			PkgPath:       path,
-			Dir:           filepath.Join(dir, strings.TrimPrefix(path, base+"/")),
+			Dir:           pkgDirs[path],
 			Fset:          fset,
 			Syntax:        files,
 			Types:         pkg,
@@ -337,6 +227,9 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, path := range paths {
+		if syntax[path] == nil {
+			continue
+		}
 		p, err := build(path)
 		if err != nil {
 			return nil, err
@@ -346,6 +239,18 @@ func LoadFixtureTree(dir string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// exportImporter imports packages from the compiler export data files in
+// exports, keyed by import path.
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q (only the standard library and the loaded packages can be imported)", path)
+		}
+		return os.Open(f)
+	})
+}
+
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)
 
@@ -353,38 +258,48 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // stdExports resolves export-data files for a set of standard-library import
-// paths via one `go list -deps -export` invocation.
+// paths.
 func stdExports(dir string, imported map[string]bool) (map[string]string, error) {
-	exports := map[string]string{}
 	if len(imported) == 0 {
-		return exports, nil
+		return map[string]string{}, nil
 	}
-	args := []string{"list", "-deps", "-export", "-json=ImportPath,Export"}
+	var paths []string
 	for path := range imported {
-		args = append(args, path)
+		paths = append(paths, path)
 	}
-	sort.Strings(args[4:])
-	cmd := exec.Command("go", args...)
+	sort.Strings(paths)
+	_, exports, err := listExports(dir, paths)
+	return exports, err
+}
+
+// listExports runs `go list -deps -export` over patterns in dir, compiling
+// export data for every package it lists, and returns the packages in the
+// order listed plus their export-data files by import path.
+func listExports(dir string, patterns []string) ([]listedPackage, map[string]string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,Module"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list for fixture imports: %v\n%s", err, stderr.Bytes())
+		return nil, nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
+	var listed []listedPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p struct{ ImportPath, Export string }
+		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return listed, exports, nil
 		} else if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("go list output: %w", err)
 		}
+		listed = append(listed, p)
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	return exports, nil
 }
 
 // check typechecks one package's files with a fully populated types.Info.

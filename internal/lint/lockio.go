@@ -4,277 +4,66 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Lockio flags blocking operations lexically reachable while a sync.Mutex or
 // sync.RWMutex is held — the exact bug class the async transport rewrite
 // fixed, where a wedged peer's 10-second network write under sendConn.mu
-// stalled every sender. Within one function body (intraprocedurally, in
-// source order), after `x.Lock()`/`x.RLock()` and before the matching
-// non-deferred unlock (a deferred unlock holds to function end), it reports:
+// stalled every sender. Within one function body, walked in source order by
+// the shared body walker (walk.go), after `x.Lock()`/`x.RLock()` and before
+// the matching unlock, it reports:
 //
-//   - channel sends, channel receives, and select statements without a
-//     default clause (a select with default is a non-blocking attempt and
-//     passes clean, as does everything behind it);
+//   - channel sends, channel receives, range over a channel, and select
+//     statements without a default clause (a select with default is a
+//     non-blocking attempt and passes clean);
 //   - time.Sleep, (*sync.WaitGroup).Wait, (*sync.Cond).Wait;
 //   - net.Dial* calls, Accept on a net.Listener, and Read/Write on any
 //     value satisfying net.Conn.
 //
-// Function literals are separate scopes: a goroutine body spawned under a
-// lock does not block the lock holder, and the literal is re-analyzed with
-// its own empty lock state. The analysis is lexical, not path-sensitive — a
-// site that provably releases first carries a `//lint:lockio <why>` waiver.
+// A deferred unlock holds to function end, and a deferred call that blocks
+// is reported when the defers replay with the lock still held. The operands
+// of `go` and `defer` statements are evaluated under the caller's locks.
+// Other function literals are separate scopes: a goroutine body spawned
+// under a lock does not block the lock holder, and the literal is analyzed
+// with its own empty lock state. The analysis is lexical, not path-sensitive
+// — a site that provably releases first carries a `//lint:lockio <why>`
+// waiver.
 var Lockio = &Analyzer{
 	Name: "lockio",
 	Doc:  "flag blocking calls (network I/O, channel ops, sleeps, waits) reachable while a sync mutex is held",
 	Run:  runLockio,
 }
 
-// lockMethods classifies sync mutex methods by full name: true = acquire,
-// false = release.
-var lockMethods = map[string]bool{
-	"(*sync.Mutex).Lock":      true,
-	"(*sync.Mutex).Unlock":    false,
-	"(*sync.RWMutex).Lock":    true,
-	"(*sync.RWMutex).Unlock":  false,
-	"(*sync.RWMutex).RLock":   true,
-	"(*sync.RWMutex).RUnlock": false,
-}
-
-// blockingWaits are method calls that park the caller, by full name.
-var blockingWaits = map[string]string{
-	"(*sync.WaitGroup).Wait": "sync.WaitGroup.Wait",
-	"(*sync.Cond).Wait":      "sync.Cond.Wait",
-}
-
 func runLockio(pass *Pass) error {
 	conn, listener := netInterfaces(pass.Pkg)
-	lw := &lockWalker{pass: pass, conn: conn, listener: listener}
+	var scopes []*ast.BlockStmt
+	w := &bodyWalker{}
+	report := func(pos token.Pos, what string) {
+		if len(w.held) == 0 {
+			return
+		}
+		h := w.held[len(w.held)-1]
+		pass.Reportf(pos, "%s while %s is held (locked at %s): blocking under a mutex stalls every contender — release first or hand off to a worker",
+			what, h.key, sitePos(pass.Fset, h.pos))
+	}
+	w.block = func(n ast.Node, what string) { report(n.Pos(), what) }
+	w.call = func(call *ast.CallExpr, fn *types.Func) {
+		if what := blockingCall(fn, conn, listener); what != "" {
+			report(call.Pos(), what)
+		}
+	}
+	w.lit = func(lit *ast.FuncLit) { scopes = append(scopes, lit.Body) }
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				lw.analyzeScope(fd.Body)
+				scopes = append(scopes, fd.Body)
 			}
 		}
+	}
+	for len(scopes) > 0 {
+		body := scopes[0]
+		scopes = scopes[1:]
+		w.walkBody(pass.TypesInfo, body)
 	}
 	return nil
-}
-
-// netInterfaces resolves net.Conn and net.Listener from the package's import
-// graph; both are nil when the package never reaches net.
-func netInterfaces(pkg *types.Package) (conn, listener *types.Interface) {
-	seen := map[*types.Package]bool{}
-	var find func(p *types.Package) *types.Package
-	find = func(p *types.Package) *types.Package {
-		if seen[p] {
-			return nil
-		}
-		seen[p] = true
-		for _, imp := range p.Imports() {
-			if imp.Path() == "net" {
-				return imp
-			}
-			if found := find(imp); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	netPkg := find(pkg)
-	if netPkg == nil {
-		return nil, nil
-	}
-	lookup := func(name string) *types.Interface {
-		obj := netPkg.Scope().Lookup(name)
-		if obj == nil {
-			return nil
-		}
-		iface, _ := obj.Type().Underlying().(*types.Interface)
-		return iface
-	}
-	return lookup("Conn"), lookup("Listener")
-}
-
-// heldLock records one acquired mutex: the receiver expression it was locked
-// through and where.
-type heldLock struct {
-	key string
-	pos token.Pos
-}
-
-// lockWalker walks one function body in source order, tracking held mutexes
-// and reporting blocking operations. Function literals encountered on the
-// way are queued and analyzed as fresh scopes.
-type lockWalker struct {
-	pass     *Pass
-	conn     *types.Interface
-	listener *types.Interface
-	held     []heldLock
-	queue    []*ast.BlockStmt
-}
-
-// analyzeScope analyzes one function body with an empty lock state, then
-// drains the function literals it discovered.
-func (lw *lockWalker) analyzeScope(body *ast.BlockStmt) {
-	lw.held = nil
-	lw.walk(body)
-	for len(lw.queue) > 0 {
-		next := lw.queue[0]
-		lw.queue = lw.queue[1:]
-		lw.held = nil
-		lw.walk(next)
-	}
-}
-
-// walk visits n and its children in source order, maintaining the held set.
-func (lw *lockWalker) walk(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			lw.queue = append(lw.queue, n.Body)
-			return false
-		case *ast.DeferStmt:
-			// A deferred unlock keeps the mutex held to function end, so
-			// the release bookkeeping must not see it; deferred bodies run
-			// at return, outside this lexical scan.
-			return false
-		case *ast.GoStmt:
-			// The spawned goroutine does not block the lock holder; its
-			// literal (if any) is queued by the FuncLit case via the walk
-			// of the call expression below.
-			lw.walk(n.Call.Fun)
-			return false
-		case *ast.SelectStmt:
-			lw.checkSelect(n)
-			return false
-		case *ast.SendStmt:
-			lw.reportBlocked(n.Pos(), "channel send")
-			return true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				lw.reportBlocked(n.Pos(), "channel receive")
-			}
-			return true
-		case *ast.CallExpr:
-			lw.checkCall(n)
-			return true
-		}
-		return true
-	})
-}
-
-// checkSelect handles select statements: with a default clause the whole
-// statement is a non-blocking attempt and is skipped; without one it blocks,
-// and each case body is walked with the current lock state.
-func (lw *lockWalker) checkSelect(sel *ast.SelectStmt) {
-	hasDefault := false
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
-		lw.reportBlocked(sel.Pos(), "select without default")
-	}
-	for _, clause := range sel.Body.List {
-		cc, ok := clause.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		for _, stmt := range cc.Body {
-			lw.walk(stmt)
-		}
-	}
-}
-
-// checkCall classifies one call: mutex bookkeeping, then the blocking set.
-func (lw *lockWalker) checkCall(call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-
-	// Package-level functions: time.Sleep, net.Dial*.
-	if ident, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := lw.pass.TypesInfo.Uses[ident].(*types.PkgName); ok {
-			switch path := pn.Imported().Path(); {
-			case path == "time" && sel.Sel.Name == "Sleep":
-				lw.reportBlocked(call.Pos(), "time.Sleep")
-			case path == "net" && strings.HasPrefix(sel.Sel.Name, "Dial"):
-				lw.reportBlocked(call.Pos(), "net."+sel.Sel.Name)
-			}
-			return
-		}
-	}
-
-	selection := lw.pass.TypesInfo.Selections[sel]
-	if selection == nil {
-		return
-	}
-	fn, ok := selection.Obj().(*types.Func)
-	if !ok {
-		return
-	}
-	full := fn.FullName()
-
-	if acquire, isLock := lockMethods[full]; isLock {
-		key := types.ExprString(sel.X)
-		if acquire {
-			lw.held = append(lw.held, heldLock{key: key, pos: call.Pos()})
-		} else {
-			for i := len(lw.held) - 1; i >= 0; i-- {
-				if lw.held[i].key == key {
-					lw.held = append(lw.held[:i], lw.held[i+1:]...)
-					break
-				}
-			}
-		}
-		return
-	}
-
-	if what, ok := blockingWaits[full]; ok {
-		lw.reportBlocked(call.Pos(), what)
-		return
-	}
-
-	// Read/Write on net.Conn, Accept on net.Listener.
-	recv := selection.Recv()
-	switch sel.Sel.Name {
-	case "Read", "Write":
-		if implementsIface(recv, lw.conn) {
-			lw.reportBlocked(call.Pos(), "net.Conn."+sel.Sel.Name)
-		}
-	case "Accept":
-		if implementsIface(recv, lw.listener) {
-			lw.reportBlocked(call.Pos(), "net.Listener.Accept")
-		}
-	}
-}
-
-// implementsIface reports whether t (or *t) satisfies iface.
-func implementsIface(t types.Type, iface *types.Interface) bool {
-	if iface == nil || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
-}
-
-// reportBlocked reports a blocking operation if any mutex is currently held.
-func (lw *lockWalker) reportBlocked(pos token.Pos, what string) {
-	if len(lw.held) == 0 {
-		return
-	}
-	h := lw.held[len(lw.held)-1]
-	lw.pass.Reportf(pos, "%s while %s is held (locked at %s): blocking under a mutex stalls every contender — release first or hand off to a worker",
-		what, h.key, lw.pass.Fset.Position(h.pos))
 }

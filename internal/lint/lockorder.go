@@ -42,13 +42,71 @@ type orderEdge struct {
 func runLockorder(pass *ModulePass) error {
 	g := pass.Module.Graph
 	var edges []orderEdge
+	var node *FuncNode
+	var scopes []*FuncNode
+	w := &bodyWalker{}
+	// Lock identity for ordering is the mutex's types.Object; held locks
+	// without one take no part.
+	order := func(pos token.Pos, to types.Object) {
+		for _, h := range w.held {
+			if h.obj != nil && h.obj != to {
+				edges = append(edges, orderEdge{from: h.obj, to: to, pos: pos, fn: node.Name})
+			}
+		}
+	}
+	w.acquire = func(l heldLock) {
+		if l.obj != nil {
+			order(l.pos, l.obj)
+		}
+	}
+	// Calls made while locks are held harvest the callee summaries: every
+	// lock the callee may acquire orders after every held lock, and an
+	// in-module callee that may block is the transitive-lockio finding.
+	w.call = func(call *ast.CallExpr, _ *types.Func) {
+		var top *heldLock
+		for i := range w.held {
+			if w.held[i].obj != nil {
+				top = &w.held[i]
+			}
+		}
+		if top == nil {
+			return
+		}
+		for _, callee := range g.CalleesOf(call) {
+			acquired := make([]types.Object, 0, len(callee.Acquires))
+			for obj := range callee.Acquires {
+				acquired = append(acquired, obj)
+			}
+			sort.Slice(acquired, func(i, j int) bool { return acquired[i].Pos() < acquired[j].Pos() })
+			for _, obj := range acquired {
+				order(call.Pos(), obj)
+			}
+			// Transitive lockio: only in-module callees (including in-module
+			// interface methods, whose summary aggregates every
+			// implementation) — a direct call to a blocking stdlib function
+			// under a lock is already lockio's finding.
+			if callee.MayBlock && pass.Module.PkgOf(callee) != nil {
+				pass.Reportf(call.Pos(),
+					"calling %s while %s is held (locked at %s): it may block (%s) — blocking under a mutex stalls every contender",
+					callee.Name, lockName(pass.Module.Fset, top.obj), sitePos(pass.Module.Fset, top.pos), blockChain(callee))
+			}
+		}
+	}
+	// A literal is walked as its own scope, under its own node's name.
+	w.lit = func(lit *ast.FuncLit) {
+		if n := g.lits[lit]; n != nil {
+			scopes = append(scopes, n)
+		}
+	}
 	for _, n := range g.Nodes {
-		body := nodeBody(n)
-		if body == nil {
+		if n.Decl == nil || n.Decl.Body == nil {
 			continue
 		}
-		w := &orderWalker{pass: pass, node: n, edges: &edges}
-		w.walk(body)
+		scopes = append(scopes[:0], n)
+		for len(scopes) > 0 {
+			node, scopes = scopes[0], scopes[1:]
+			w.walkBody(node.Pkg.TypesInfo, nodeBody(node))
+		}
 	}
 	reportOrderCycles(pass, edges)
 	return nil
@@ -63,114 +121,6 @@ func nodeBody(n *FuncNode) *ast.BlockStmt {
 		return n.Lit.Body
 	}
 	return nil
-}
-
-// orderWalker tracks lexically held mutexes through one function body — the
-// same source-order discipline as lockio's walker (deferred unlocks hold to
-// function end, function literals are separate scopes, go statements run on
-// another goroutine) — but keyed by types.Object and feeding the module-wide
-// ordering graph instead of reporting blocking syntax.
-type orderWalker struct {
-	pass  *ModulePass
-	node  *FuncNode
-	held  []heldObj
-	edges *[]orderEdge
-}
-
-// heldObj is one lexically held mutex.
-type heldObj struct {
-	obj types.Object
-	pos token.Pos
-}
-
-func (w *orderWalker) walk(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal is its own node; its body is walked with its own
-			// empty lock state when the node iteration reaches it.
-			return false
-		case *ast.DeferStmt:
-			// Deferred unlocks hold to function end; deferred calls run at
-			// return where the lexical held set no longer applies.
-			return false
-		case *ast.GoStmt:
-			// The spawned goroutine acquires its locks on another stack;
-			// no ordering relative to the caller's held set.
-			return false
-		case *ast.CallExpr:
-			w.checkCall(n)
-			return true
-		}
-		return true
-	})
-}
-
-// checkCall does the mutex bookkeeping and, while locks are held, harvests
-// the callee summaries: every lock the callee may acquire orders after every
-// held lock, and an in-module callee that may block is the transitive-lockio
-// finding.
-func (w *orderWalker) checkCall(call *ast.CallExpr) {
-	info := w.node.Pkg.TypesInfo
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if selection := info.Selections[sel]; selection != nil {
-			if fn, ok := selection.Obj().(*types.Func); ok {
-				if acquire, isLock := lockMethods[fn.FullName()]; isLock {
-					obj := exprObj(info, sel.X)
-					if obj == nil {
-						return
-					}
-					if acquire {
-						for _, h := range w.held {
-							if h.obj != obj {
-								*w.edges = append(*w.edges, orderEdge{from: h.obj, to: obj, pos: call.Pos(), fn: w.node.Name})
-							}
-						}
-						w.held = append(w.held, heldObj{obj: obj, pos: call.Pos()})
-					} else {
-						for i := len(w.held) - 1; i >= 0; i-- {
-							if w.held[i].obj == obj {
-								w.held = append(w.held[:i], w.held[i+1:]...)
-								break
-							}
-						}
-					}
-					return
-				}
-			}
-		}
-	}
-
-	if len(w.held) == 0 {
-		return
-	}
-	for _, callee := range w.pass.Module.Graph.CalleesOf(call) {
-		acquired := make([]types.Object, 0, len(callee.Acquires))
-		for obj := range callee.Acquires {
-			acquired = append(acquired, obj)
-		}
-		sort.Slice(acquired, func(i, j int) bool { return acquired[i].Pos() < acquired[j].Pos() })
-		for _, h := range w.held {
-			for _, obj := range acquired {
-				if obj != h.obj {
-					*w.edges = append(*w.edges, orderEdge{from: h.obj, to: obj, pos: call.Pos(), fn: w.node.Name})
-				}
-			}
-		}
-		// Transitive lockio: only in-module callees (including in-module
-		// interface methods, whose summary aggregates every implementation)
-		// — a direct call to a blocking stdlib function under a lock is
-		// already lockio's finding.
-		if callee.MayBlock && w.pass.Module.PkgOf(callee) != nil {
-			h := w.held[len(w.held)-1]
-			w.pass.Reportf(call.Pos(),
-				"calling %s while %s is held (locked at %s): it may block (%s) — blocking under a mutex stalls every contender",
-				callee.Name, lockName(w.pass.Module.Fset, h.obj), w.pass.Module.Fset.Position(h.pos), blockChain(callee))
-		}
-	}
 }
 
 // reportOrderCycles finds ordering inversions: pairs of distinct locks A, B
@@ -215,7 +165,7 @@ func reportOrderCycles(pass *ModulePass, edges []orderEdge) {
 		var steps []string
 		for _, b := range back {
 			steps = append(steps, fmt.Sprintf("%s acquired while %s held in %s at %s",
-				lockName(fset, b.to), lockName(fset, b.from), b.fn, fset.Position(b.pos)))
+				lockName(fset, b.to), lockName(fset, b.from), b.fn, sitePos(fset, b.pos)))
 		}
 		pass.Reportf(e.pos,
 			"lock order cycle: %s is acquired while %s is held in %s, but the reverse order exists — %s; two goroutines taking these paths concurrently can deadlock",

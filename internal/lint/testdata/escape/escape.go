@@ -1,12 +1,11 @@
-// Package escapefixture is the hotalloc fixture, a standalone module so the
-// escape-analysis gate can run a real `go build -gcflags=-m` against it: Hot
-// is marked ringcast:hotpath and leaks a local to the heap (must fire), Cool
-// leaks but is unmarked (must stay silent), HotClean is marked and
-// allocation-free (must stay silent), and HotWaived carries a justified
-// hotalloc waiver on its escaping declaration (suppressed).
+// Package escapefixture is the allocbudget fixture, a standalone module so
+// the escape gate can run a real `go build -gcflags=-m` against it: Hot and
+// HotSlack are marked ringcast:hotpath and leak a local to the heap (one
+// escape each), Cool leaks but is unmarked (no budget entry), and HotClean
+// is marked and allocation-free (budget 0).
 package escapefixture
 
-// Hot leaks its local to the heap; hotalloc must flag it.
+// Hot leaks its local to the heap.
 //
 //ringcast:hotpath
 func Hot() *int {
@@ -14,7 +13,7 @@ func Hot() *int {
 	return &x
 }
 
-// Cool also escapes but carries no marker, so hotalloc stays silent.
+// Cool also escapes but carries no marker, so allocbudget ignores it.
 func Cool() *int {
 	x := 7
 	return &x
@@ -27,11 +26,11 @@ func HotClean(a, b int) int {
 	return a*31 + b
 }
 
-// HotWaived deliberately escapes, with the waiver on the moved-to-heap
-// declaration line.
+// HotSlack leaks its local like Hot; the regression test gives it a budget
+// above its count.
 //
 //ringcast:hotpath
-func HotWaived() *int {
-	x := 9 //lint:hotalloc fixture: deliberate escape proving the waiver path
+func HotSlack() *int {
+	x := 9
 	return &x
 }

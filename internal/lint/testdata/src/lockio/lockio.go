@@ -116,3 +116,74 @@ func waivedHandoff(mu *sync.Mutex, ch chan int) {
 	ch <- 1 //lint:lockio fixture: handoff channel buffered to worker count, cannot block
 	mu.Unlock()
 }
+
+// probe carries the shapes that block through a range, through the
+// operands of go and defer statements, and through the defer stack.
+type probe struct {
+	mu sync.Mutex
+	ch chan int
+	wg sync.WaitGroup
+}
+
+func use(int) {}
+
+func (s *probe) rangeUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for v := range s.ch { // want "range over channel while s.mu is held"
+		use(v)
+	}
+}
+
+// goOperandUnderLock receives in the caller: only use runs on the new
+// goroutine.
+func (s *probe) goOperandUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	go use(<-s.ch) // want "channel receive while s.mu is held"
+}
+
+// deferOperandUnderLock receives when the defer statement runs, not at
+// return.
+func (s *probe) deferOperandUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer use(<-s.ch) // want "channel receive while s.mu is held"
+}
+
+// deferredClosureUnderLock: defers run last-in-first-out, so the closure
+// runs at return before the deferred unlock, with mu still held.
+func (s *probe) deferredClosureUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer func() {
+		s.ch <- 1 // want "channel send while s.mu is held"
+	}()
+}
+
+// deferredWaitUnderLock parks at return with mu held, after an early return
+// that leaves the lock held for the code below it.
+func (s *probe) deferredWaitUnderLock(early bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.wg.Wait() // want "sync.WaitGroup.Wait while s.mu is held"
+	if early {
+		return
+	}
+	s.ch <- 1 // want "channel send while s.mu is held"
+}
+
+// deferredClosureAfterUnlock registers the closure first, so it runs after
+// the deferred unlock: clean.
+func (s *probe) deferredClosureAfterUnlock() {
+	s.mu.Lock()
+	defer func() { s.ch <- 1 }()
+	defer s.mu.Unlock()
+}
+
+// spawnReceiveUnderLock hands the receive to another goroutine: clean.
+func (s *probe) spawnReceiveUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	go func() { <-s.ch }()
+}

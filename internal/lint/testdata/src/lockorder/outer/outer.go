@@ -11,8 +11,9 @@ import (
 
 // Coord pairs its own mutex with an inner.Store.
 type Coord struct {
-	mu sync.Mutex
-	st *inner.Store
+	mu  sync.Mutex
+	aux sync.Mutex
+	st  *inner.Store
 }
 
 // Notify implements inner.Notifier; it runs with inner's Mu held and takes
@@ -43,4 +44,28 @@ func (c *Coord) Drain() {
 	c.mu.Lock()
 	c.mu.Unlock()
 	inner.WaitAll()
+}
+
+// FlushOnExit blocks at return: the deferred WaitAll runs before the
+// deferred unlock registered ahead of it, so mu is still held.
+func (c *Coord) FlushOnExit() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer inner.WaitAll() // want "calling lockorder/inner\\.WaitAll while mu .* is held .* may block"
+}
+
+// Audit acquires mu at return through the deferred Notify, with aux still
+// held: the aux→mu edge, seen only by replaying the defer stack.
+func (c *Coord) Audit() {
+	c.aux.Lock()
+	defer c.aux.Unlock()
+	defer c.Notify() // want "lock order cycle: mu .* is acquired while aux .* is held in \\(\\*lockorder/outer\\.Coord\\)\\.Audit"
+}
+
+// Tally takes the pair in the opposite order, mu then aux.
+func (c *Coord) Tally() {
+	c.mu.Lock()
+	c.aux.Lock()
+	c.aux.Unlock()
+	c.mu.Unlock()
 }
